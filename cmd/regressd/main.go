@@ -14,8 +14,6 @@
 // Submit and watch a job:
 //
 //	curl -s -X POST localhost:8041/api/v1/jobs -d '{"matrix":true,"quick":true}'
-//	curl -s -X POST localhost:8041/api/v1/jobs \
-//	    -d '{"matrix":true,"kernel":"compiled","seeds":[1,2,3,4],"lanes":64}'
 //	curl -s localhost:8041/api/v1/jobs/j0001
 //	curl -s localhost:8041/api/v1/jobs/j0001/report
 //

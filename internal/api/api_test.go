@@ -359,19 +359,30 @@ func TestServiceErrors(t *testing.T) {
 		}
 	}
 
-	for name, body := range map[string]string{
-		"unknown field":     `{"matrx": true}`,
-		"quick sans matrix": `{"quick": true}`,
-		"empty spec":        `{}`,
-		"unknown test":      fmt.Sprintf(`{"configs": [%q], "tests": ["nope"]}`, regress.FormatConfig(testCfg(t, "er0"))),
+	// names, when set, must appear in the error message.
+	for name, c := range map[string]struct{ body, names string }{
+		"unknown field":     {body: `{"matrx": true}`, names: "matrx"},
+		"retired lanes":     {body: `{"matrix":true,"lanes":64}`, names: "lanes"},
+		"quick sans matrix": {body: `{"quick": true}`},
+		"empty spec":        {body: `{}`},
+		"unknown test":      {body: fmt.Sprintf(`{"configs": [%q], "tests": ["nope"]}`, regress.FormatConfig(testCfg(t, "er0")))},
 	} {
-		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var eb struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&eb)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: POST /jobs returned %d, want 400", name, resp.StatusCode)
+		}
+		if err != nil {
+			t.Errorf("%s: error body: %v", name, err)
+		} else if !strings.Contains(eb.Error, c.names) {
+			t.Errorf("%s: error %q does not name %q", name, eb.Error, c.names)
 		}
 	}
 

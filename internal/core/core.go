@@ -207,8 +207,9 @@ func RunTest(cfg nodespec.Config, view View, test Test, seed int64, opt RunOptio
 }
 
 // benchInst is one fully wired bench+DUT instance: the per-run state of
-// RunTestCtx, factored out so the lane-parallel runner (lanes.go) can
-// elaborate one instance per lane on a shared simulator.
+// RunTestCtx. Construction (buildBench) is kept apart from the run loop so
+// bench elaboration shows up as one frame in CPU profiles, and so a bench
+// can later be built once and reused across seeds.
 type benchInst struct {
 	dut        DUT
 	res        *RunResult
