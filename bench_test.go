@@ -191,13 +191,6 @@ func BenchmarkE5RTL(b *testing.B) {
 	benchViewThroughput(b, core.RTLView, core.RunOptions{})
 }
 
-// BenchmarkE5RTLCompiled measures the same RTL-view run under the compiled
-// bytecode backend — the PR 9 tier that fuses IR-declared processes into one
-// flat program over preresolved signal slots.
-func BenchmarkE5RTLCompiled(b *testing.B) {
-	benchViewThroughput(b, core.RTLView, core.RunOptions{Kernel: sim.KernelCompiled})
-}
-
 // BenchmarkE5BCAWrapped measures the wrapped BCA view — per the paper, the
 // wrapper costs it the standalone speed advantage.
 func BenchmarkE5BCAWrapped(b *testing.B) {

@@ -11,7 +11,6 @@
 //	simprof -matrix-index 0 -test back_to_back -seed 7        # matrix config
 //	simprof -config node.cfg -test priority_arb -view bca     # config file
 //	simprof -matrix-index 4 -test back_to_back -top 20 -json  # full JSON dump
-//	simprof -matrix-index 0 -test back_to_back -kernel compiled  # compiled backend
 package main
 
 import (
@@ -24,7 +23,6 @@ import (
 	"crve/internal/core"
 	"crve/internal/nodespec"
 	"crve/internal/regress"
-	"crve/internal/sim"
 	"crve/internal/testcases"
 )
 
@@ -35,19 +33,18 @@ func main() {
 		testName    = flag.String("test", "back_to_back", "test case name (see -list)")
 		seed        = flag.Int64("seed", 1, "test seed")
 		view        = flag.String("view", "rtl", "design view: rtl or bca")
-		kernel      = flag.String("kernel", "", "simulation backend: levelized (default) or compiled")
 		top         = flag.Int("top", 10, "number of hottest processes to print")
 		jsonOut     = flag.Bool("json", false, "emit the full profile as JSON")
 		list        = flag.Bool("list", false, "list test case names and matrix configurations, then exit")
 	)
 	flag.Parse()
-	if err := run(*configFile, *matrixIndex, *testName, *seed, *view, *kernel, *top, *jsonOut, *list); err != nil {
+	if err := run(*configFile, *matrixIndex, *testName, *seed, *view, *top, *jsonOut, *list); err != nil {
 		fmt.Fprintln(os.Stderr, "simprof:", err)
 		os.Exit(1)
 	}
 }
 
-func run(configFile string, matrixIndex int, testName string, seed int64, view, kernel string, top int, jsonOut, list bool) error {
+func run(configFile string, matrixIndex int, testName string, seed int64, view string, top int, jsonOut, list bool) error {
 	if list {
 		fmt.Println("tests:", strings.Join(testcases.Names(), ", "))
 		fmt.Println("matrix:")
@@ -92,11 +89,7 @@ func run(configFile string, matrixIndex int, testName string, seed int64, view, 
 		return fmt.Errorf("bad view %q: want rtl or bca", view)
 	}
 
-	k, err := sim.ParseKernel(kernel)
-	if err != nil {
-		return err
-	}
-	res, err := core.RunTest(cfg, v, tc, seed, core.RunOptions{KernelStats: true, Kernel: k})
+	res, err := core.RunTest(cfg, v, tc, seed, core.RunOptions{KernelStats: true})
 	if err != nil {
 		return err
 	}

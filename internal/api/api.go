@@ -27,6 +27,7 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -107,10 +108,20 @@ func (s *Server) tests(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string][]string{"tests": testcases.Names()})
 }
 
+// maxSpecBytes bounds a submitted job spec. The largest real specs inline a
+// few dozen configurations at well under 1 KiB each.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var spec jobs.Spec
+	r.Body = http.MaxBytesReader(w, r.Body, maxSpecBytes)
 	dec := jsonDecoder(r)
 	if err := dec.Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeErr(w, http.StatusRequestEntityTooLarge, "bad spec: body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		writeErr(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}

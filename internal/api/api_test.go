@@ -340,6 +340,36 @@ func TestServiceDuplicateJobs(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyLimit posts a well-formed spec whose one configuration is
+// padded past the 1 MiB body limit with a comment: the server must refuse it
+// with 413 and create no job.
+func TestSubmitBodyLimit(t *testing.T) {
+	srv, mgr := newTestServer(t)
+	cfg := regress.FormatConfig(testCfg(t, "big")) + "# " + strings.Repeat("x", 1<<20) + "\n"
+	body, err := json.Marshal(jobs.Spec{Configs: []string{cfg}, Tests: []string{"basic_write_read"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb struct {
+		Error string `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&eb)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized spec: POST /jobs returned %d, want 413", resp.StatusCode)
+	}
+	if err != nil || eb.Error == "" {
+		t.Errorf("oversized spec: error body %+v (%v)", eb, err)
+	}
+	if n := len(mgr.List()); n != 0 {
+		t.Errorf("oversized spec created %d jobs, want 0", n)
+	}
+}
+
 // TestServiceErrors covers the client-error surface.
 func TestServiceErrors(t *testing.T) {
 	srv, _ := newTestServer(t)
@@ -363,6 +393,7 @@ func TestServiceErrors(t *testing.T) {
 	for name, c := range map[string]struct{ body, names string }{
 		"unknown field":     {body: `{"matrx": true}`, names: "matrx"},
 		"retired lanes":     {body: `{"matrix":true,"lanes":64}`, names: "lanes"},
+		"retired kernel":    {body: `{"matrix":true,"kernel":"compiled"}`, names: "kernel"},
 		"quick sans matrix": {body: `{"quick": true}`},
 		"empty spec":        {body: `{}`},
 		"unknown test":      {body: fmt.Sprintf(`{"configs": [%q], "tests": ["nope"]}`, regress.FormatConfig(testCfg(t, "er0")))},

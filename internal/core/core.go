@@ -193,9 +193,6 @@ type RunOptions struct {
 	// counts, settle-depth histogram, SCC inventory) into RunResult.Kernel,
 	// and enables sampled per-process wall-time collection.
 	KernelStats bool
-	// Kernel selects the simulation backend (levelized by default; compiled
-	// fuses IR-declared processes into the flat bytecode program).
-	Kernel sim.Kernel
 	// Bugs applies to the BCA view.
 	Bugs bca.Bugs
 }
@@ -348,7 +345,6 @@ func (b *benchInst) collect() (*RunResult, error) {
 func RunTestCtx(ctx context.Context, cfg nodespec.Config, view View, test Test, seed int64, opt RunOptions) (*RunResult, error) {
 	cfg = cfg.WithDefaults()
 	sm := sim.New()
-	sm.Kernel = opt.Kernel
 	sm.Timing = opt.KernelStats
 	b, err := buildBench(sm, cfg, view, test, seed, opt)
 	if err != nil {
@@ -429,14 +425,14 @@ func RunPairCtx(ctx context.Context, cfg nodespec.Config, test Test, seed int64,
 	if opt.LegacyAlignment {
 		return runPairLegacy(ctx, cfg, test, seed, opt)
 	}
-	rtlOpt := RunOptions{DumpVCD: opt.DumpVCD, RecordWave: true, KernelStats: opt.KernelStats, Kernel: opt.Kernel}
+	rtlOpt := RunOptions{DumpVCD: opt.DumpVCD, RecordWave: true, KernelStats: opt.KernelStats}
 	rres, err := RunTestCtx(ctx, cfg, RTLView, test, seed, rtlOpt)
 	if err != nil {
 		return nil, fmt.Errorf("core: RTL run: %w", err)
 	}
 	bcaOpt := RunOptions{
 		DumpVCD: opt.DumpVCD, RecordWave: opt.RecordWave, AlignWith: rres.Wave,
-		KernelStats: opt.KernelStats, Kernel: opt.Kernel, Bugs: opt.Bugs,
+		KernelStats: opt.KernelStats, Bugs: opt.Bugs,
 	}
 	bres, err := RunTestCtx(ctx, cfg, BCAView, test, seed, bcaOpt)
 	if err != nil {
@@ -457,12 +453,12 @@ func RunPairCtx(ctx context.Context, cfg nodespec.Config, test Test, seed int64,
 // parse both, Compare. Kept behind RunOptions.LegacyAlignment for ablation
 // and for the streaming-equivalence property test.
 func runPairLegacy(ctx context.Context, cfg nodespec.Config, test Test, seed int64, opt RunOptions) (*PairResult, error) {
-	rtlOpt := RunOptions{DumpVCD: true, RecordWave: opt.RecordWave, KernelStats: opt.KernelStats, Kernel: opt.Kernel}
+	rtlOpt := RunOptions{DumpVCD: true, RecordWave: opt.RecordWave, KernelStats: opt.KernelStats}
 	rres, err := RunTestCtx(ctx, cfg, RTLView, test, seed, rtlOpt)
 	if err != nil {
 		return nil, fmt.Errorf("core: RTL run: %w", err)
 	}
-	bcaOpt := RunOptions{DumpVCD: true, RecordWave: opt.RecordWave, KernelStats: opt.KernelStats, Kernel: opt.Kernel, Bugs: opt.Bugs}
+	bcaOpt := RunOptions{DumpVCD: true, RecordWave: opt.RecordWave, KernelStats: opt.KernelStats, Bugs: opt.Bugs}
 	bres, err := RunTestCtx(ctx, cfg, BCAView, test, seed, bcaOpt)
 	if err != nil {
 		return nil, fmt.Errorf("core: BCA run: %w", err)

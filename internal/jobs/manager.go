@@ -233,9 +233,8 @@ func (m *Manager) execute(job *Job) {
 	results, stats, err := regress.RunCtx(ctx, job.res.cfgs, regress.Options{
 		Tests: job.res.tests, Seeds: job.res.seeds,
 		NoLint: job.Spec.NoLint, Workers: m.opt.Workers, Cache: m.opt.Cache,
-		KernelStats: job.Spec.KernelStats, Kernel: job.Spec.Kernel,
-		RecordWave: job.Spec.RecordWave,
-		Log:        jobLog{job}, Progress: job.onProgress,
+		KernelStats: job.Spec.KernelStats, RecordWave: job.Spec.RecordWave,
+		Log: jobLog{job}, Progress: job.onProgress,
 	})
 	if err == nil {
 		job.commit(stats)

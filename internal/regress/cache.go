@@ -93,14 +93,12 @@ func (c *Cache) Dir() string { return c.dir }
 // the config by value, not by name: renaming a file moves nothing, editing
 // any parameter invalidates exactly that configuration's entries. Tests are
 // keyed by registry name and bug sets by their canonical rendering; the
-// code version covers everything else (test definitions included). The
-// kernel backend is part of the key: a stored record carries that backend's
-// kernel profile, and equivalence runs must never serve one backend's
-// profile as another's.
-func (c *Cache) Key(cfg nodespec.Config, testName string, seed int64, bugs bca.Bugs, kernel string) string {
-	if kernel == "" {
-		kernel = "levelized"
-	}
+// code version covers everything else (test definitions included).
+//
+// The unnamed last parameter is ignored. It once named the simulation
+// backend; it is kept only for the sign-off benchmark (signoffbench), which
+// calls Key with five arguments.
+func (c *Cache) Key(cfg nodespec.Config, testName string, seed int64, bugs bca.Bugs, _ string) string {
 	h := sha256.New()
 	for _, part := range []string{
 		c.version,
@@ -108,7 +106,6 @@ func (c *Cache) Key(cfg nodespec.Config, testName string, seed int64, bugs bca.B
 		testName,
 		fmt.Sprintf("%d", seed),
 		fmt.Sprintf("%+v", bugs),
-		kernel,
 	} {
 		io.WriteString(h, part)
 		h.Write([]byte{0})

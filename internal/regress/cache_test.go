@@ -29,10 +29,6 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	if base != c.Key(cfg, "basic_write_read", 1, bca.Bugs{}, "") {
 		t.Error("key is not stable")
 	}
-	// The empty kernel means the default backend explicitly.
-	if base != c.Key(cfg, "basic_write_read", 1, bca.Bugs{}, "levelized") {
-		t.Error("empty kernel and levelized must share a key")
-	}
 	edited := cfg
 	edited.PipeSize++
 	c2 := testCache(t, "v2")
@@ -41,7 +37,6 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 		"test":    c.Key(cfg, "error_paths", 1, bca.Bugs{}, ""),
 		"seed":    c.Key(cfg, "basic_write_read", 2, bca.Bugs{}, ""),
 		"bugs":    c.Key(cfg, "basic_write_read", 1, bca.Bugs{LRUInit: true}, ""),
-		"kernel":  c.Key(cfg, "basic_write_read", 1, bca.Bugs{}, "compiled"),
 		"version": c2.Key(cfg, "basic_write_read", 1, bca.Bugs{}, ""),
 	}
 	for dim, key := range distinct {

@@ -54,11 +54,6 @@ type Options struct {
 	// unit (cache-served units keep whatever profile their stored record
 	// has, possibly none). Aggregate with KernelReport.
 	KernelStats bool
-	// Kernel names the simulation backend every unit runs on: "levelized"
-	// (default, also the empty string) or "compiled". Parsed with
-	// sim.ParseKernel; the kernel is part of the cache key, so switching
-	// backends never serves a stale profile.
-	Kernel string
 	// RecordWave keeps the compact binary waveform recording of every
 	// simulated unit (WriteReports stores them as .crw files). Off by
 	// default: the streaming alignment path needs no retained waveforms.

@@ -65,8 +65,7 @@ type Node struct {
 	tick *sim.Signal
 
 	// Internal handshake strobes, one per port: fire = req & gnt and
-	// rfire = r_req & r_gnt, computed by IR-declared combinational processes
-	// so the compiled backend fuses the node's hottest signal-level datapath.
+	// rfire = r_req & r_gnt, computed by one combinational process per port.
 	// The state process reads the settled strobes instead of re-deriving the
 	// handshakes — the same values, computed once.
 	ifire, irfire []*sim.Signal
@@ -164,24 +163,31 @@ func NewNode(sc sim.Scope, cfg NodeConfig) (*Node, error) {
 	for i, p := range n.Init {
 		fire := ns.Bool(fmt.Sprintf("init%d_fire", i))
 		rfire := ns.Bool(fmt.Sprintf("init%d_rfire", i))
-		ns.CombExpr(fmt.Sprintf("init%d_fire", i),
-			sim.Assign{Dst: fire, Src: sim.Read(p.Req).And(sim.Read(p.Gnt))},
-			sim.Assign{Dst: rfire, Src: sim.Read(p.RReq).And(sim.Read(p.RGnt))})
+		ns.CombOut(fmt.Sprintf("init%d_fire", i), fireProc(p, fire, rfire),
+			[]*sim.Signal{fire, rfire}, p.Req, p.Gnt, p.RReq, p.RGnt)
 		n.ifire = append(n.ifire, fire)
 		n.irfire = append(n.irfire, rfire)
 	}
 	for t, p := range n.Tgt {
 		fire := ns.Bool(fmt.Sprintf("tgt%d_fire", t))
 		rfire := ns.Bool(fmt.Sprintf("tgt%d_rfire", t))
-		ns.CombExpr(fmt.Sprintf("tgt%d_fire", t),
-			sim.Assign{Dst: fire, Src: sim.Read(p.Req).And(sim.Read(p.Gnt))},
-			sim.Assign{Dst: rfire, Src: sim.Read(p.RReq).And(sim.Read(p.RGnt))})
+		ns.CombOut(fmt.Sprintf("tgt%d_fire", t), fireProc(p, fire, rfire),
+			[]*sim.Signal{fire, rfire}, p.Req, p.Gnt, p.RReq, p.RGnt)
 		n.tfire = append(n.tfire, fire)
 		n.trfire = append(n.trfire, rfire)
 	}
 	ns.Seq("state", n.seq)
-	ns.SeqExpr("tick", sim.Assign{Dst: n.tick, Src: sim.Read(n.tick).Add(sim.ConstU64(1, 32))})
+	ns.Seq("tick", func() { n.tick.SetU64(n.tick.U64() + 1) })
 	return n, nil
+}
+
+// fireProc computes a port's handshake strobes: fire = req & gnt and
+// rfire = r_req & r_gnt.
+func fireProc(p *stbus.Port, fire, rfire *sim.Signal) func() {
+	return func() {
+		fire.SetBool(p.Req.Bool() && p.Gnt.Bool())
+		rfire.SetBool(p.RReq.Bool() && p.RGnt.Bool())
+	}
 }
 
 // newReqArb instantiates the request-path policy. The programmable policy is
@@ -570,7 +576,7 @@ func (n *Node) seq() {
 			p.IdleResp()
 		}
 	}
-	// The tick re-trigger of the grant process lives in its own SeqExpr.
+	// The tick re-trigger of the grant process lives in its own Seq.
 }
 
 // popOutstanding removes the oldest outstanding entry with the given source.

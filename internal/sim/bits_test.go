@@ -63,19 +63,6 @@ func TestBitAndSetBit(t *testing.T) {
 	}
 }
 
-func TestFieldRoundTrip(t *testing.T) {
-	b := B64(0).WithField(8, 8, B64(0xab)).WithField(100, 12, B64(0x5a5))
-	if got := b.Field(8, 8).Uint64(); got != 0xab {
-		t.Errorf("Field(8,8) = %#x", got)
-	}
-	if got := b.Field(100, 12).Uint64(); got != 0x5a5 {
-		t.Errorf("Field(100,12) = %#x", got)
-	}
-	if got := b.Field(0, 8).Uint64(); got != 0 {
-		t.Errorf("Field(0,8) = %#x, want 0", got)
-	}
-}
-
 func TestBinaryStringAndParse(t *testing.T) {
 	b := B64(0b1011)
 	if got := b.BinaryString(4); got != "1011" {
@@ -119,7 +106,7 @@ func TestBinaryStringParseRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestXorOrAndNotProperties(t *testing.T) {
+func TestXorAndProperties(t *testing.T) {
 	selfInverse := func(a0, a1, b0, b1 uint64) bool {
 		a, b := BWords(a0, a1), BWords(b0, b1)
 		return a.Xor(b).Xor(b).Equal(a)
@@ -127,26 +114,14 @@ func TestXorOrAndNotProperties(t *testing.T) {
 	if err := quick.Check(selfInverse, nil); err != nil {
 		t.Errorf("xor self-inverse: %v", err)
 	}
-	deMorgan := func(a0, b0 uint64) bool {
-		a, b := B64(a0), B64(b0)
-		lhs := a.And(b).Not(64)
-		rhs := a.Not(64).Or(b.Not(64))
-		return lhs.Equal(rhs)
+	// (a^b)&a and (a&b)^a both clear from a the bits set in b.
+	andXor := func(a0, a1, b0, b1 uint64) bool {
+		a, b := BWords(a0, a1), BWords(b0, b1)
+		return a.Xor(b).And(a).Equal(a.And(b).Xor(a)) &&
+			a.And(b).Equal(BWords(a0&b0, a1&b1))
 	}
-	if err := quick.Check(deMorgan, nil); err != nil {
-		t.Errorf("de morgan: %v", err)
-	}
-}
-
-func TestFieldWithFieldProperty(t *testing.T) {
-	f := func(base0, base1, val uint64, loRaw, wRaw uint8) bool {
-		lo := int(loRaw) % 200
-		w := int(wRaw)%56 + 1
-		b := BWords(base0, base1).WithField(lo, w, B64(val))
-		return b.Field(lo, w).Equal(B64(val).Mask(w))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	if err := quick.Check(andXor, nil); err != nil {
+		t.Errorf("and/xor: %v", err)
 	}
 }
 
@@ -157,69 +132,6 @@ func TestStringForms(t *testing.T) {
 	wide := BWords(1, 0, 0, 2)
 	if got := wide.String(); got == "" || got == "0x1" {
 		t.Errorf("wide String() = %q", got)
-	}
-}
-
-func TestFieldWordBoundaries(t *testing.T) {
-	// A recognizable 256-bit pattern: word i holds 0x…(i)…
-	b := BWords(0x1111111122222222, 0x3333333344444444, 0x5555555566666666, 0x7777777788888888)
-	cases := []struct {
-		lo, w int
-		want  Bits
-	}{
-		// Straddling the 64-bit word boundary: 16 bits from 56..72.
-		{56, 16, B64(0x4411)},
-		// Straddling 128: 32 bits from 112..144.
-		{112, 32, B64(0x66663333)},
-		// Straddling 192: 24 bits from 180..204.
-		{180, 24, B64(0x888555)},
-		// Exactly one full word, aligned.
-		{64, 64, B64(0x3333333344444444)},
-		// Zero width is empty regardless of offset.
-		{0, 0, Bits{}},
-		{63, 0, Bits{}},
-		{255, 0, Bits{}},
-		// Full vector width.
-		{0, 256, b},
-		// Top bit alone.
-		{255, 1, B64(0)},
-	}
-	for _, tc := range cases {
-		if got := b.Field(tc.lo, tc.w); !got.Equal(tc.want) {
-			t.Errorf("Field(%d,%d) = %v, want %v", tc.lo, tc.w, got, tc.want)
-		}
-	}
-}
-
-func TestWithFieldWordBoundaries(t *testing.T) {
-	base := BWords(^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0))
-	// Clear 16 bits straddling the first word boundary.
-	b := base.WithField(56, 16, B64(0))
-	if got := b.Field(56, 16).Uint64(); got != 0 {
-		t.Errorf("straddling clear: Field(56,16) = %#x, want 0", got)
-	}
-	if got := b.Field(0, 56); !got.Equal(B64(0).Not(56)) {
-		t.Errorf("straddling clear disturbed low bits: %v", got)
-	}
-	if got := b.Field(72, 56); !got.Equal(B64(0).Not(56)) {
-		t.Errorf("straddling clear disturbed high bits: %v", got)
-	}
-	// Round trip straddling the 192 boundary.
-	b = Bits{}.WithField(190, 10, B64(0x3ff))
-	if got := b.Field(190, 10).Uint64(); got != 0x3ff {
-		t.Errorf("Field(190,10) = %#x, want 0x3ff", got)
-	}
-	if b.Field(0, 190).IsZero() != true || !b.Field(200, 56).IsZero() {
-		t.Error("WithField(190,10) disturbed bits outside the field")
-	}
-	// Zero-width insert is the identity.
-	if got := base.WithField(100, 0, B64(0xffff)); !got.Equal(base) {
-		t.Errorf("zero-width WithField changed the value: %v", got)
-	}
-	// Full-width replace.
-	repl := BWords(1, 2, 3, 4)
-	if got := base.WithField(0, 256, repl); !got.Equal(repl) {
-		t.Errorf("full-width WithField = %v, want %v", got, repl)
 	}
 }
 
@@ -241,23 +153,6 @@ func TestAddCarryChain(t *testing.T) {
 	}
 	if err := quick.Check(commutes, nil); err != nil {
 		t.Errorf("add commutativity: %v", err)
-	}
-}
-
-func TestUlt(t *testing.T) {
-	lo := BWords(^uint64(0), 0) // 2^64-1
-	hi := BWords(0, 1)          // 2^64
-	if !lo.Ult(hi) || hi.Ult(lo) {
-		t.Error("Ult misorders values differing in word 1")
-	}
-	if lo.Ult(lo) {
-		t.Error("Ult should be irreflexive")
-	}
-	agrees := func(a, b uint64) bool {
-		return B64(a).Ult(B64(b)) == (a < b)
-	}
-	if err := quick.Check(agrees, nil); err != nil {
-		t.Errorf("Ult vs uint64 <: %v", err)
 	}
 }
 

@@ -42,20 +42,6 @@ type process struct {
 	// simulator's Timing flag is set.
 	sampleNS int64
 
-	// ir is the dataflow description of CombExpr/SeqExpr processes; nil for
-	// closure processes. The compiled backend fuses acyclic IR processes;
-	// every other backend runs them through the fallback closure fn.
-	ir []Assign
-	// fused marks a process absorbed into the fused bytecode program; a wake
-	// only marks its segment dirty so the sweep re-runs it. seg is that
-	// segment and segEnt its schedule index.
-	fused  bool
-	seg    *progSeg
-	segEnt int
-	// seqCode is the compiled body of an IR-declared sequential process,
-	// run in place of fn while a program is active.
-	seqCode []kinstr
-
 	// declared reports that outs came from CombOut rather than from the
 	// time-zero write-recording fallback.
 	declared bool
@@ -144,20 +130,6 @@ type Simulator struct {
 	totalQueued int
 	maxRank     int
 
-	// prog is the fused bytecode program of the compiled backend, built at
-	// the freeze when Kernel is KernelCompiled; nil otherwise.
-	prog *program
-	// sweepPos is the schedule index the compiled settle is executing (-1
-	// outside a sweep); with fusedStale it detects undeclared writes that
-	// fed an already-executed segment, forcing a mop-up pass.
-	sweepPos   int
-	fusedStale bool
-
-	// compiledEvals/closureEvals split process evaluations by dispatch
-	// mechanism for the kernel profiling surface.
-	compiledEvals uint64
-	closureEvals  uint64
-
 	cycle  uint64
 	frozen bool
 
@@ -166,10 +138,6 @@ type Simulator struct {
 	cur *process
 
 	MaxDeltas int
-
-	// Kernel selects the settling backend; it must be set before the first
-	// Step. ForceDeltaLoop overrides it.
-	Kernel Kernel
 
 	// Timing enables 1-in-8 sampled per-process wall-time collection for
 	// Stats. Off by default: the hot loop pays only a flag check.
@@ -202,7 +170,6 @@ func New() *Simulator {
 		MaxDeltas:      DefaultMaxDeltas,
 		ForceDeltaLoop: ForceDeltaLoop,
 		Strict:         StrictSensitivity,
-		sweepPos:       -1,
 	}
 }
 
@@ -280,7 +247,6 @@ func (sm *Simulator) unfreeze() {
 		return
 	}
 	sm.frozen = false
-	sm.dropProgram()
 	if sm.units != nil {
 		for _, u := range sm.units {
 			if u.queued == 0 {
@@ -309,21 +275,6 @@ func (sm *Simulator) AtCycleEnd(fn func()) {
 }
 
 func (sm *Simulator) wake(p *process) {
-	if p.fused {
-		// A fused process's wake marks its segment dirty so the sweep re-runs
-		// it — unless the wake comes from a store inside that very segment
-		// (sweepPos equal), where rank order guarantees the reader's loads
-		// execute after the store and already see the fresh value. A wake
-		// arriving after the segment already executed this sweep (an
-		// undeclared back edge) additionally forces a mop-up pass.
-		if p.segEnt != sm.sweepPos {
-			p.seg.dirty = true
-		}
-		if p.segEnt < sm.sweepPos {
-			sm.fusedStale = true
-		}
-		return
-	}
 	if p.inQ {
 		return
 	}
@@ -342,7 +293,6 @@ func (sm *Simulator) wake(p *process) {
 func (sm *Simulator) eval(p *process) {
 	sm.cur = p
 	p.evals++
-	sm.closureEvals++
 	if sm.Timing && p.evals&7 == 1 {
 		t0 := nowNS()
 		p.fn()
@@ -382,12 +332,9 @@ func (sm *Simulator) settle() error {
 	sm.settles++
 	start := sm.DeltaCount
 	var err error
-	switch {
-	case sm.prog != nil:
-		err = sm.settleCompiled()
-	case sm.units != nil:
+	if sm.units != nil {
 		err = sm.settleLevelized()
-	default:
+	} else {
 		err = sm.settleLoop()
 	}
 	d := sm.DeltaCount - start
@@ -433,9 +380,6 @@ func (sm *Simulator) freeze() error {
 	}
 	if !sm.ForceDeltaLoop {
 		sm.buildLevels()
-		if sm.Kernel == KernelCompiled {
-			sm.buildProgram()
-		}
 	}
 	sm.frozen = true
 	return nil
@@ -449,11 +393,7 @@ func (sm *Simulator) Step() error {
 		}
 	}
 	for _, p := range sm.seqs {
-		if p.seqCode != nil {
-			sm.runSeqProg(p)
-		} else {
-			sm.eval(p)
-		}
+		sm.eval(p)
 	}
 	if err := sm.settle(); err != nil {
 		return err

@@ -73,7 +73,7 @@ func TestCombInitialSettle(t *testing.T) {
 	sm := New()
 	a := sm.Signal("a", 4)
 	inv := sm.Signal("inv", 4)
-	sm.Comb("inv", func() { inv.Set(a.Get().Not(4)) }, a)
+	sm.Comb("inv", func() { inv.SetU64(^a.U64()) }, a)
 	if err := sm.Step(); err != nil {
 		t.Fatal(err)
 	}

@@ -33,13 +33,16 @@ func Bind(sm *sim.Simulator, initSide, tgtSide *Port) {
 		{tgtSide.RTID, initSide.RTID}, {tgtSide.RSrc, initSide.RSrc},
 	}
 	copyProc := func(name string, pairs [][2]*sim.Signal) {
-		// Declared as IR so the compiled backend fuses the port map into the
-		// flat bytecode program (each pair becomes one slot-to-slot copy).
-		assigns := make([]sim.Assign, len(pairs))
+		srcs := make([]*sim.Signal, len(pairs))
+		dsts := make([]*sim.Signal, len(pairs))
 		for i, p := range pairs {
-			assigns[i] = sim.Assign{Dst: p[1], Src: sim.Read(p[0])}
+			srcs[i], dsts[i] = p[0], p[1]
 		}
-		sm.CombExpr(name, assigns...)
+		sm.CombOut(name, func() {
+			for i, dst := range dsts {
+				dst.Set(srcs[i].Get())
+			}
+		}, dsts, srcs...)
 	}
 	copyProc("bind."+initSide.Name+">"+tgtSide.Name, fwd)
 	copyProc("bind."+tgtSide.Name+">"+initSide.Name, bwd)

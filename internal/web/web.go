@@ -70,7 +70,6 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		Matrix:      r.Form.Get("matrix") != "",
 		Quick:       r.Form.Get("quick") != "",
 		KernelStats: r.Form.Get("kernelstats") != "",
-		Kernel:      strings.TrimSpace(r.Form.Get("kernel")),
 		RecordWave:  r.Form.Get("record_wave") != "",
 		Close:       r.Form.Get("close") != "",
 	}
@@ -133,12 +132,10 @@ type trajIter struct {
 // kernelRow is one (config, view) merged kernel profile for the dashboard's
 // kernel table.
 type kernelRow struct {
-	Name          string
-	View          string
-	Runs          int
-	Cycles        uint64
-	CompiledEvals uint64
-	ClosureEvals  uint64
+	Name   string
+	View   string
+	Runs   int
+	Cycles uint64
 }
 
 type trajRow struct {
@@ -210,10 +207,7 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			data.Kernels = append(data.Kernels, kernelRow{
-				Name: cr.Cfg.Name, View: view, Runs: n,
-				Cycles:        merged.Cycles,
-				CompiledEvals: merged.CompiledEvals,
-				ClosureEvals:  merged.ClosureEvals,
+				Name: cr.Cfg.Name, View: view, Runs: n, Cycles: merged.Cycles,
 			})
 		}
 	}
