@@ -39,6 +39,10 @@ import (
 	"crve/internal/web"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so idle or trickling connections cannot pin server goroutines.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr         = flag.String("addr", ":8041", "listen address")
@@ -75,7 +79,7 @@ func run(addr, cacheDir string, workers, slots, queueDepth int, drainTimeout tim
 	mux.Handle("/api/", apiHandler)
 	mux.Handle("/healthz", apiHandler)
 	mux.Handle("/", web.New(mgr).Handler())
-	srv := &http.Server{Addr: addr, Handler: mux}
+	srv := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -370,6 +370,26 @@ func TestSubmitBodyLimit(t *testing.T) {
 	}
 }
 
+// jsonSeeds renders n distinct seeds as a JSON array.
+func jsonSeeds(n int) string {
+	seeds := make([]int64, n)
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
+	}
+	b, _ := json.Marshal(seeds)
+	return string(b)
+}
+
+// jsonConfigs renders n copies of one inline configuration as a JSON array.
+func jsonConfigs(t *testing.T, n int) string {
+	cfgs := make([]string, n)
+	for i := range cfgs {
+		cfgs[i] = regress.FormatConfig(testCfg(t, "lim"))
+	}
+	b, _ := json.Marshal(cfgs)
+	return string(b)
+}
+
 // TestServiceErrors covers the client-error surface.
 func TestServiceErrors(t *testing.T) {
 	srv, _ := newTestServer(t)
@@ -397,6 +417,9 @@ func TestServiceErrors(t *testing.T) {
 		"quick sans matrix": {body: `{"quick": true}`},
 		"empty spec":        {body: `{}`},
 		"unknown test":      {body: fmt.Sprintf(`{"configs": [%q], "tests": ["nope"]}`, regress.FormatConfig(testCfg(t, "er0")))},
+		"too many seeds":    {body: fmt.Sprintf(`{"matrix": true, "quick": true, "tests": ["basic_write_read"], "seeds": %s}`, jsonSeeds(jobs.MaxSeeds+1)), names: `"seeds"`},
+		"too many configs":  {body: fmt.Sprintf(`{"configs": %s}`, jsonConfigs(t, jobs.MaxConfigs+1)), names: `"configs"`},
+		"too many units":    {body: fmt.Sprintf(`{"matrix": true, "seeds": %s}`, jsonSeeds(jobs.MaxUnits/36/12+1)), names: `"seeds"`},
 	} {
 		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(c.body))
 		if err != nil {

@@ -6,10 +6,14 @@
 //	DUT (RTL or BCA)  ←→  CATG bench  →  reports + VCD
 //
 // RunTest executes one (test file, seed) pair against one view; RunPair
-// executes the same pair against both views, streams the STBus Analyzer
-// comparison across them (full VCD dumps are opt-in artifacts, no longer the
-// comparison medium) and checks functional-coverage equality — the full
-// flow of the paper's Figures 4 and 5.
+// executes the same pair against both views and checks functional-coverage
+// equality — the full flow of the paper's Figures 4 and 5. The pair steps
+// the RTL and BCA simulators in lockstep, one cycle each, in one goroutine,
+// and the STBus Analyzer comparison runs online against the live RTL
+// signals: no waveform is recorded. Full VCD dumps and compact recordings
+// (vcd.Recorder, replayed through a vcd.Cursor) remain opt-in artifacts for
+// -wave, RunOptions.AlignWith and the offline tools, no longer the
+// comparison medium.
 package core
 
 import (
@@ -183,7 +187,8 @@ type RunOptions struct {
 	RecordWave bool
 	// AlignWith, when set, attaches a streaming STBA observer comparing the
 	// run's port signals cycle-by-cycle against this reference recording;
-	// the per-port report lands in RunResult.Alignment.
+	// the per-port report lands in RunResult.Alignment. RunPairOpt does not
+	// use it: the pair aligns against the live RTL signals.
 	AlignWith *vcd.Recording
 	// LegacyAlignment makes RunPairOpt compute alignment through the
 	// write-two-VCDs / parse / Compare round trip instead of the observer —
@@ -203,10 +208,10 @@ func RunTest(cfg nodespec.Config, view View, test Test, seed int64, opt RunOptio
 	return RunTestCtx(context.Background(), cfg, view, test, seed, opt)
 }
 
-// benchInst is one fully wired bench+DUT instance: the per-run state of
-// RunTestCtx. Construction (buildBench) is kept apart from the run loop so
-// bench elaboration shows up as one frame in CPU profiles, and so a bench
-// can later be built once and reused across seeds.
+// benchInst is one fully wired bench+DUT instance: the per-run state of one
+// view. Construction (buildBench) is kept apart from the run loop so bench
+// elaboration shows up as one frame in CPU profiles, and so a bench can
+// later be built once and reused across seeds.
 type benchInst struct {
 	dut        DUT
 	res        *RunResult
@@ -236,9 +241,8 @@ func buildBench(sm *sim.Simulator, cfg nodespec.Config, view View, test Test, se
 	}
 	b.dut = dut
 
-	// traceSigs collects the DUT port signals, in port order, for whichever
-	// waveform/alignment taps the options request.
-	tracing := opt.DumpVCD || opt.RecordWave || opt.AlignWith != nil
+	// traceSigs collects the DUT port signals, in port order: what the
+	// waveform taps trace and what the lockstep pair aligns.
 	for i, p := range dut.InitPorts() {
 		ops := catg.GenerateOps(cfg, test.trafficFor(cfg, i), i, seed)
 		for _, o := range ops {
@@ -252,17 +256,13 @@ func buildBench(sm *sim.Simulator, cfg nodespec.Config, view View, test Test, se
 		})
 		b.initMons = append(b.initMons, mon)
 		b.checkers = append(b.checkers, catg.NewChecker(sm, p, cfg, true, catg.NodeRouter(cfg, i)))
-		if tracing {
-			b.traceSigs = append(b.traceSigs, p.Signals()...)
-		}
+		b.traceSigs = append(b.traceSigs, p.Signals()...)
 	}
 	for tg, p := range dut.TgtPorts() {
 		catg.NewTargetBFM(sm, p, test.targetFor(cfg, tg), catg.TargetSeed(seed, tg))
 		b.tgtMons = append(b.tgtMons, catg.NewMonitor(sm, p, tg, false, nil))
 		b.checkers = append(b.checkers, catg.NewChecker(sm, p, cfg, false, nil))
-		if tracing {
-			b.traceSigs = append(b.traceSigs, p.Signals()...)
-		}
+		b.traceSigs = append(b.traceSigs, p.Signals()...)
 	}
 	b.sb = catg.NewScoreboard(cfg, b.initMons, b.tgtMons)
 	b.cov = catg.NewCoverageModel(cfg, test.trafficFor(cfg, 0))
@@ -338,52 +338,136 @@ func (b *benchInst) collect() (*RunResult, error) {
 	return res, nil
 }
 
-// RunTestCtx is RunTest under a cancellation context: the run loop polls ctx
-// every few cycles and aborts with ctx's error, so a served job can be
-// cancelled mid-simulation, not just between units. A context without a
-// cancel path (context.Background()) costs the hot loop nothing.
-func RunTestCtx(ctx context.Context, cfg nodespec.Config, view View, test Test, seed int64, opt RunOptions) (*RunResult, error) {
-	cfg = cfg.WithDefaults()
+// tailCycles is the short run-out after a view drains, so registered
+// responses and monitors settle.
+const tailCycles = 5
+
+// viewRun steps one view's bench through the run protocol, one cycle per
+// step: a main phase until every initiator BFM has drained or the cycle
+// limit is hit (sim.RunUntil's contract), then the drained view's tail. A
+// Step error in the main phase ends the view undrained; one in the tail is
+// the run's error.
+type viewRun struct {
+	sm    *sim.Simulator
+	b     *benchInst
+	stats bool // collect the kernel profile
+	limit int
+	steps int // main-phase cycles stepped
+	tail  int // tail cycles left; -1 in the main phase
+	ended bool
+	err   error
+}
+
+// newViewRun builds a fresh simulator and the view's bench under it.
+func newViewRun(cfg nodespec.Config, view View, test Test, seed int64, opt RunOptions) (*viewRun, error) {
 	sm := sim.New()
 	sm.Timing = opt.KernelStats
 	b, err := buildBench(sm, cfg, view, test, seed, opt)
 	if err != nil {
 		return nil, err
 	}
-	limit := b.limit(test)
-	done := b.done
-	cancelled := false
-	if ctx.Done() != nil {
-		inner := done
-		tick := 0
-		done = func() bool {
-			if tick++; tick&63 == 0 && ctx.Err() != nil {
-				cancelled = true
-				return true // stop RunUntil; the abort is detected below
-			}
-			return inner()
+	return &viewRun{sm: sm, b: b, stats: opt.KernelStats, limit: b.limit(test), tail: -1}, nil
+}
+
+// step advances the view by one cycle and reports whether it simulated one.
+// It reports false only once the view has ended; an ended view holds its
+// last values.
+func (v *viewRun) step() bool {
+	if v.ended {
+		return false
+	}
+	if v.tail < 0 {
+		switch {
+		case v.b.done():
+			v.b.res.Drained = true
+			v.tail = tailCycles
+		case v.steps >= v.limit:
+			v.ended = true
+			return false
+		default:
+			v.steps++
+			return v.cycle(false)
 		}
 	}
-	err = sm.RunUntil(done, limit)
-	if cancelled {
-		return nil, fmt.Errorf("core: %s %s seed %d: %w", view, test.Name, seed, ctx.Err())
+	if v.tail == 0 {
+		v.ended = true
+		return false
 	}
-	b.res.Drained = err == nil
-	if err == nil {
-		// A short tail so registered responses and monitors settle.
-		if err := sm.Run(5); err != nil {
-			return nil, err
+	v.tail--
+	return v.cycle(true)
+}
+
+// cycle runs one Step. An error ends the view; in the tail it is also the
+// run's error. It reports whether the cycle ended, i.e. whether the
+// end-of-cycle observers sampled it.
+func (v *viewRun) cycle(inTail bool) bool {
+	before := v.sm.Cycle()
+	if err := v.sm.Step(); err != nil {
+		v.ended = true
+		if inTail {
+			v.err = err
 		}
 	}
-	b.res.Cycles = sm.Cycle()
-	res, err := b.collect()
+	return v.sm.Cycle() != before
+}
+
+// finish collects the ended view's report.
+func (v *viewRun) finish() (*RunResult, error) {
+	if v.err != nil {
+		return nil, v.err
+	}
+	v.b.res.Cycles = v.sm.Cycle()
+	res, err := v.b.collect()
 	if err != nil {
 		return nil, err
 	}
-	if opt.KernelStats {
-		res.Kernel = sm.Stats()
+	if v.stats {
+		res.Kernel = v.sm.Stats()
 	}
 	return res, nil
+}
+
+// lockstep steps the views alternately, one cycle each per round, in one
+// goroutine, until every view has ended. After each round obs, when set,
+// samples the pair (views[0] the reference, views[1] the live side). ctx is
+// polled every 64 rounds; once it is done, no further cycle is simulated. A
+// context without a cancel path (context.Background()) costs the loop
+// nothing.
+func lockstep(ctx context.Context, obs *stba.Observer, views ...*viewRun) error {
+	poll := ctx.Done() != nil
+	var on [2]bool
+	for cycle := uint64(0); ; cycle++ {
+		if poll && cycle&63 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		running := false
+		for i, v := range views {
+			on[i] = v.step()
+			running = running || on[i]
+		}
+		if !running {
+			return nil
+		}
+		if obs != nil {
+			obs.SamplePair(cycle, on[0], on[1])
+		}
+	}
+}
+
+// RunTestCtx is RunTest under a cancellation context: the run loop polls ctx
+// every 64 cycles and aborts with ctx's error, so a served job can be
+// cancelled mid-simulation, not just between units.
+func RunTestCtx(ctx context.Context, cfg nodespec.Config, view View, test Test, seed int64, opt RunOptions) (*RunResult, error) {
+	v, err := newViewRun(cfg.WithDefaults(), view, test, seed, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := lockstep(ctx, nil, v); err != nil {
+		return nil, fmt.Errorf("core: %s %s seed %d: %w", view, test.Name, seed, err)
+	}
+	return v.finish()
 }
 
 // PairResult is the outcome of running the same (test, seed) on both views
@@ -410,41 +494,53 @@ func RunPair(cfg nodespec.Config, test Test, seed int64, bugs bca.Bugs) (*PairRe
 	return RunPairOpt(cfg, test, seed, RunOptions{Bugs: bugs})
 }
 
-// RunPairOpt is RunPair with full run options. By default the bus-accurate
-// comparison streams: the RTL run captures a compact binary recording, the
-// BCA run replays it through an online observer, and no VCD text is ever
-// built — DumpVCD and RecordWave are honoured as given, purely as artifact
+// RunPairOpt is RunPair with full run options. By default the two views run
+// in lockstep — one cycle of RTL, one cycle of BCA, in one goroutine — and
+// an online observer compares the BCA port signals against the live RTL
+// ones after every cycle, so no waveform is recorded and no VCD text is
+// built. DumpVCD and RecordWave are honoured as given, purely as artifact
 // requests. LegacyAlignment restores the write/parse/Compare round trip.
 func RunPairOpt(cfg nodespec.Config, test Test, seed int64, opt RunOptions) (*PairResult, error) {
 	return RunPairCtx(context.Background(), cfg, test, seed, opt)
 }
 
-// RunPairCtx is RunPairOpt under a cancellation context, threaded through
-// both view runs.
+// RunPairCtx is RunPairOpt under a cancellation context. Both benches are
+// built up front and stepped alternately with the same run protocol as
+// RunTestCtx: each view drains (or hits its cycle limit) and runs its tail
+// on its own schedule, and a view that ends early holds its last values, so
+// the other view's remaining cycles are charged as misaligned. ctx is
+// polled every 64 cycles.
 func RunPairCtx(ctx context.Context, cfg nodespec.Config, test Test, seed int64, opt RunOptions) (*PairResult, error) {
 	if opt.LegacyAlignment {
 		return runPairLegacy(ctx, cfg, test, seed, opt)
 	}
-	rtlOpt := RunOptions{DumpVCD: opt.DumpVCD, RecordWave: true, KernelStats: opt.KernelStats}
-	rres, err := RunTestCtx(ctx, cfg, RTLView, test, seed, rtlOpt)
+	cfg = cfg.WithDefaults()
+	art := RunOptions{DumpVCD: opt.DumpVCD, RecordWave: opt.RecordWave, KernelStats: opt.KernelStats}
+	rv, err := newViewRun(cfg, RTLView, test, seed, art)
 	if err != nil {
 		return nil, fmt.Errorf("core: RTL run: %w", err)
 	}
-	bcaOpt := RunOptions{
-		DumpVCD: opt.DumpVCD, RecordWave: opt.RecordWave, AlignWith: rres.Wave,
-		KernelStats: opt.KernelStats, Bugs: opt.Bugs,
-	}
-	bres, err := RunTestCtx(ctx, cfg, BCAView, test, seed, bcaOpt)
+	art.Bugs = opt.Bugs
+	bv, err := newViewRun(cfg, BCAView, test, seed, art)
 	if err != nil {
 		return nil, fmt.Errorf("core: BCA run: %w", err)
 	}
-	pr := &PairResult{RTL: rres, BCA: bres, Alignment: bres.Alignment}
-	bres.Alignment = nil
-	if !opt.RecordWave {
-		// The RTL recording was only the alignment reference; drop it unless
-		// the caller asked for the artifact.
-		rres.Wave = nil
+	obs, err := stba.NewPairObserver(rv.b.traceSigs, bv.b.traceSigs)
+	if err != nil {
+		return nil, fmt.Errorf("core: BCA run: %w", err)
 	}
+	if err := lockstep(ctx, obs, rv, bv); err != nil {
+		return nil, fmt.Errorf("core: pair %s seed %d: %w", test.Name, seed, err)
+	}
+	rres, err := rv.finish()
+	if err != nil {
+		return nil, fmt.Errorf("core: RTL run: %w", err)
+	}
+	bres, err := bv.finish()
+	if err != nil {
+		return nil, fmt.Errorf("core: BCA run: %w", err)
+	}
+	pr := &PairResult{RTL: rres, BCA: bres, Alignment: obs.Report()}
 	pr.CoverageEqual, pr.CoverageDiff = rres.Coverage.EqualHits(bres.Coverage)
 	return pr, nil
 }

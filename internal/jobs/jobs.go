@@ -78,6 +78,18 @@ type resolved struct {
 	seeds []int64
 }
 
+// Limits on one job spec. A submission over any of them is refused before
+// any configuration is parsed, so one request cannot queue an unbounded run.
+const (
+	// MaxSeeds bounds the seeds of one spec.
+	MaxSeeds = 1024
+	// MaxConfigs bounds the inline configurations of one spec.
+	MaxConfigs = 256
+	// MaxUnits bounds the work units (configurations × tests × seeds) of
+	// one spec: the full matrix with every test at 150 seeds fits.
+	MaxUnits = 1 << 16
+)
+
 // resolve validates the spec into runnable form, so a bad submission fails
 // at submit time with a client error, not mid-job.
 func (s Spec) resolve() (resolved, error) {
@@ -89,6 +101,22 @@ func (s Spec) resolve() (resolved, error) {
 		}
 	} else if s.Quick {
 		return r, fmt.Errorf("jobs: \"quick\" needs \"matrix\"")
+	}
+	if len(s.Seeds) > MaxSeeds {
+		return r, fmt.Errorf("jobs: \"seeds\": %d seeds exceed the limit of %d", len(s.Seeds), MaxSeeds)
+	}
+	if len(s.Configs) > MaxConfigs {
+		return r, fmt.Errorf("jobs: \"configs\": %d configurations exceed the limit of %d", len(s.Configs), MaxConfigs)
+	}
+	tests, seeds := len(s.Tests), len(s.Seeds)
+	if tests == 0 {
+		tests = len(testcases.All())
+	}
+	if seeds == 0 {
+		seeds = 1
+	}
+	if units := (len(r.cfgs) + len(s.Configs)) * tests * seeds; units > MaxUnits {
+		return r, fmt.Errorf("jobs: \"configs\" × \"tests\" × \"seeds\": %d work units exceed the limit of %d", units, MaxUnits)
 	}
 	for i, text := range s.Configs {
 		cfg, err := regress.ParseConfig(strings.NewReader(text))

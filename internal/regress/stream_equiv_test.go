@@ -130,3 +130,66 @@ func TestStreamingEngineDeterminism(t *testing.T) {
 		t.Errorf("legacy and streaming matrix reports differ:\n--- legacy ---\n%s--- stream ---\n%s", legacyRep, serialRep)
 	}
 }
+
+// TestLockstepPairEquivalenceBugged checks the lockstep pair where the two
+// views run different lengths: for every injectable BCA bug over the first
+// six matrix configurations and the first three suite tests at one seed,
+// the default pair must produce the same alignment (JSON and rendered
+// table) and the same cache record as the legacy write-two-VCDs/parse/
+// Compare round trip. At least one case must end the views at different
+// cycles, so the path where one view holds its last values while the
+// other runs on is really exercised. (The legacy round trip is slow under
+// the race detector, so the suite slice is kept small.)
+func TestLockstepPairEquivalenceBugged(t *testing.T) {
+	cfgs := StandardMatrix()[:6]
+	tests := testcases.All()[:3]
+	if testing.Short() {
+		tests = tests[:1]
+	}
+	const seed = 3
+	uneven := 0
+	for bi, bugs := range bca.AllBugs() {
+		for _, cfg := range cfgs {
+			for _, tc := range tests {
+				str, err := core.RunPairOpt(cfg, tc, seed, core.RunOptions{Bugs: bugs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				leg, err := core.RunPairOpt(cfg, tc, seed, core.RunOptions{Bugs: bugs, LegacyAlignment: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := bca.BugNames()[bi] + "/" + cfg.Name + "/" + tc.Name
+				for _, pa := range str.Alignment.Ports {
+					if pa.CyclesA != pa.CyclesB {
+						uneven++
+						break
+					}
+				}
+				sj, _ := json.Marshal(str.Alignment)
+				lj, _ := json.Marshal(leg.Alignment)
+				if !bytes.Equal(sj, lj) {
+					t.Errorf("%s: alignment reports differ:\nlockstep: %s\nlegacy:   %s", name, sj, lj)
+				}
+				if str.Alignment.String() != leg.Alignment.String() {
+					t.Errorf("%s: rendered alignment tables differ", name)
+				}
+				sr, err := json.Marshal(str.Record())
+				if err != nil {
+					t.Fatal(err)
+				}
+				lr, err := json.Marshal(leg.Record())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(sr, lr) {
+					t.Errorf("%s: pair records differ:\nlockstep: %s\nlegacy:   %s", name, sr, lr)
+				}
+			}
+		}
+	}
+	if uneven == 0 {
+		t.Error("no case ended the views at different cycles; the tail path went untested")
+	}
+	t.Logf("%d cases with views of different lengths", uneven)
+}

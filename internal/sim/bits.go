@@ -21,7 +21,6 @@ package sim
 
 import (
 	"fmt"
-	mathbits "math/bits"
 	"strings"
 )
 
@@ -152,31 +151,11 @@ func (b Bits) WithByte(i int, val byte) Bits {
 	return b
 }
 
-// Add returns the multi-word sum of two vectors, wrapping at 256 bits.
-// Callers model a w-bit hardware adder by masking the result to w.
-func (b Bits) Add(o Bits) Bits {
-	var r Bits
-	var c uint64
-	for i := range r.v {
-		r.v[i], c = mathbits.Add64(b.v[i], o.v[i], c)
-	}
-	return r
-}
-
 // Xor returns the bitwise exclusive-or of two vectors.
 func (b Bits) Xor(o Bits) Bits {
 	var r Bits
 	for i := range r.v {
 		r.v[i] = b.v[i] ^ o.v[i]
-	}
-	return r
-}
-
-// And returns the bitwise and of two vectors.
-func (b Bits) And(o Bits) Bits {
-	var r Bits
-	for i := range r.v {
-		r.v[i] = b.v[i] & o.v[i]
 	}
 	return r
 }

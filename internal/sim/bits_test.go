@@ -106,22 +106,13 @@ func TestBinaryStringParseRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestXorAndProperties(t *testing.T) {
+func TestXorSelfInverse(t *testing.T) {
 	selfInverse := func(a0, a1, b0, b1 uint64) bool {
 		a, b := BWords(a0, a1), BWords(b0, b1)
 		return a.Xor(b).Xor(b).Equal(a)
 	}
 	if err := quick.Check(selfInverse, nil); err != nil {
 		t.Errorf("xor self-inverse: %v", err)
-	}
-	// (a^b)&a and (a&b)^a both clear from a the bits set in b.
-	andXor := func(a0, a1, b0, b1 uint64) bool {
-		a, b := BWords(a0, a1), BWords(b0, b1)
-		return a.Xor(b).And(a).Equal(a.And(b).Xor(a)) &&
-			a.And(b).Equal(BWords(a0&b0, a1&b1))
-	}
-	if err := quick.Check(andXor, nil); err != nil {
-		t.Errorf("and/xor: %v", err)
 	}
 }
 
@@ -132,27 +123,6 @@ func TestStringForms(t *testing.T) {
 	wide := BWords(1, 0, 0, 2)
 	if got := wide.String(); got == "" || got == "0x1" {
 		t.Errorf("wide String() = %q", got)
-	}
-}
-
-func TestAddCarryChain(t *testing.T) {
-	one := B64(1)
-	allOnes64 := B64(^uint64(0))
-	// Carry out of word 0 into word 1.
-	if got := allOnes64.Add(one); got.Word(0) != 0 || got.Word(1) != 1 {
-		t.Errorf("2^64-1 + 1 = %v", got)
-	}
-	// Carry rippling through all four words.
-	max := BWords(^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0))
-	if got := max.Add(one); !got.IsZero() {
-		t.Errorf("2^256-1 + 1 = %v, want wraparound to zero", got)
-	}
-	commutes := func(a0, a1, b0, b1 uint64) bool {
-		a, b := BWords(a0, a1), BWords(b0, b1)
-		return a.Add(b).Equal(b.Add(a))
-	}
-	if err := quick.Check(commutes, nil); err != nil {
-		t.Errorf("add commutativity: %v", err)
 	}
 }
 

@@ -8,13 +8,15 @@ import (
 )
 
 // This file is the compact binary waveform sidecar: the artifact tier that
-// replaces text VCD on the regression hot path. A Recorder samples signals at
-// the same cycle boundaries as Writer but keeps the changes as an in-memory
-// frame stream instead of serialized text; a Recording answers value queries
-// without any parsing (the streaming STBus Analyzer attaches a Cursor), and
-// Encode/Decode give the cache/service tier a storable record — varint
-// time-deltas plus changed-signal frames — that can re-serve either raw
-// values or the byte-identical text VCD on demand.
+// replaces text VCD when a waveform is wanted at all (-wave, a recorded
+// alignment reference, the offline tools; the sign-off pair aligns against
+// live signals and records nothing). A Recorder samples signals at the same
+// cycle boundaries as Writer but keeps the changes as an in-memory frame
+// stream instead of serialized text; a Recording answers value queries
+// without any parsing (the streaming STBus Analyzer replays one through a
+// Cursor), and Encode/Decode give the cache/service tier a storable record —
+// varint time-deltas plus changed-signal frames — that can re-serve either
+// raw values or the byte-identical text VCD on demand.
 
 // streamChange is one recorded value change: signal sig (declare index) took
 // value val at the end of clock cycle cycle. The stream is ordered by
